@@ -18,7 +18,7 @@ on when it predicts *downlink* deliverability from *uplink* CSI.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -30,6 +30,12 @@ from repro.channel.fading import (
     doppler_hz,
 )
 from repro.channel.pathloss import LogDistancePathLoss
+from repro.channel.reach import (
+    GainBound,
+    audible_dx_m,
+    gain_bound,
+    rx_power_bound_dbm,
+)
 from repro.mobility.road import Position
 from repro.phy.ber import linear_to_db
 from repro.sim.engine import Simulator
@@ -37,15 +43,26 @@ from repro.sim.rng import RngRegistry
 
 #: Thermal noise over 20 MHz plus a 7 dB receiver noise figure.
 NOISE_FLOOR_DBM = -94.0
+#: Frames arriving below this mean power are not even energy-detectable.
+ENERGY_DETECT_DBM = NOISE_FLOOR_DBM - 10.0
+#: How far below :data:`ENERGY_DETECT_DBM` the audible reach keeps every
+#: culled receiver.  Float rounding in the exact link budget needs far
+#: less; the rest only costs visits, never results.  At 3 dB the reach
+#: along the default corridor (~70 m for a client, ~64 m between APs)
+#: spans the paper's whole 8-AP array, so the cull only acts on longer
+#: corridors.
+AUDIBLE_SLACK_DB = 3.0
 
 
 @dataclass
 class RadioPort:
     """One radio endpoint (an AP's antenna port or a client device).
 
-    ``position_fn`` maps absolute simulation time to a position, so a
-    static AP passes a constant and a vehicle passes its track's
-    ``position_at``. ``speed_mps_fn`` feeds the Doppler model.
+    ``position_fn`` maps absolute simulation time to a position; a
+    vehicle passes its track's ``position_at``. A stationary radio (an
+    AP) is built with :meth:`fixed` and carries its frozen ``position``,
+    which lets the channel tabulate its pairwise powers once and bound
+    how far it can be heard. ``speed_mps_fn`` feeds the Doppler model.
     """
 
     node_id: str
@@ -53,6 +70,8 @@ class RadioPort:
     tx_power_dbm: float
     position_fn: Callable[[int], Position]
     speed_mps_fn: Callable[[], float] = field(default=lambda: 0.0)
+    #: Where a stationary radio sits; ``None`` for one that moves.
+    position: Optional[Position] = None
     #: One-slot position memo.  A client port is shared by every link
     #: that involves the client, so when a frame completes, the mobility
     #: model is evaluated once per timestamp instead of once per link.
@@ -63,13 +82,48 @@ class RadioPort:
         default=None, init=False, repr=False, compare=False
     )
 
+    @classmethod
+    def fixed(
+        cls,
+        node_id: str,
+        antenna: Antenna,
+        tx_power_dbm: float,
+        position: Position,
+    ) -> "RadioPort":
+        """A radio that never moves."""
+        return cls(
+            node_id, antenna, tx_power_dbm, lambda t: position,
+            position=position,
+        )
+
     def position_at(self, time_us: int) -> Position:
+        if self.position is not None:
+            return self.position
         if self._pos_time == time_us:
             return self._pos_cache
         pos = self.position_fn(time_us)
         self._pos_time = time_us
         self._pos_cache = pos
         return pos
+
+
+def _mean_snr_db(
+    tx_dbm: float,
+    ap: RadioPort,
+    client: RadioPort,
+    ap_pos: Position,
+    client_pos: Position,
+    pathloss: LogDistancePathLoss,
+) -> float:
+    """Fading-free link SNR; the one expression every mean-power path
+    (per-link memo, fixed-pair table) evaluates, term for term."""
+    return (
+        tx_dbm
+        + ap.antenna.gain_dbi(client_pos)
+        + client.antenna.gain_dbi(ap_pos)
+        - pathloss.loss_db(ap_pos.distance_to(client_pos))
+        - NOISE_FLOOR_DBM
+    )
 
 
 class Link:
@@ -90,10 +144,13 @@ class Link:
         self.client = client
         self.pathloss = pathloss or LogDistancePathLoss()
         self._coherence_factor = coherence_factor
-        self._fading = TappedRayleighChannel(
-            rng.stream(f"fading/{ap.node_id}/{client.node_id}"),
-            rician_k_db=rician_k_db,
-        )
+        self._rng = rng
+        self._rician_k_db = rician_k_db
+        # Built on first use: most links in a dense corridor only ever
+        # answer mean-power queries.  The stream is label-hashed and the
+        # AR(1) clock starts at the first sample, so building it late
+        # draws exactly the same values.
+        self._fading_ch: Optional[TappedRayleighChannel] = None
         self._cache_time: Optional[int] = None
         self._cache_power: Optional[np.ndarray] = None
         # Per-(time, tx power) cache of the assembled SNR snapshot.  A
@@ -116,6 +173,19 @@ class Link:
         self._esnr_db: float = 0.0
         self._coh_speed: Optional[float] = None
         self._coh_us: float = 0.0
+
+    @property
+    def fading(self) -> TappedRayleighChannel:
+        """The link's small-scale fading process."""
+        channel = self._fading_ch
+        if channel is None:
+            channel = self._fading_ch = TappedRayleighChannel(
+                self._rng.stream(
+                    f"fading/{self.ap.node_id}/{self.client.node_id}"
+                ),
+                rician_k_db=self._rician_k_db,
+            )
+        return channel
 
     def invalidate_geometry(self) -> None:
         """Drop the scalar geometry memos.
@@ -172,14 +242,13 @@ class Link:
         cached = cache.get(key)
         if cached is not None:
             return cached
-        ap_pos = self.ap.position_at(time_us)
-        client_pos = self.client.position_at(time_us)
-        value = (
-            tx_dbm
-            + self.ap.antenna.gain_dbi(client_pos)
-            + self.client.antenna.gain_dbi(ap_pos)
-            - self.pathloss.loss_db(ap_pos.distance_to(client_pos))
-            - NOISE_FLOOR_DBM
+        value = _mean_snr_db(
+            tx_dbm,
+            self.ap,
+            self.client,
+            self.ap.position_at(time_us),
+            self.client.position_at(time_us),
+            self.pathloss,
         )
         if len(cache) >= 32:
             cache.clear()
@@ -209,7 +278,7 @@ class Link:
     def _subcarrier_power(self, time_us: int) -> np.ndarray:
         """Fading power per subcarrier, evolved (and cached) for ``time_us``."""
         if self._cache_time != time_us:
-            self._cache_power = self._fading.power_at(time_us, self._coherence_us())
+            self._cache_power = self.fading.power_at(time_us, self._coherence_us())
             self._cache_time = time_us
         return self._cache_power
 
@@ -297,7 +366,7 @@ class Link:
         if self._cache_time == time_us:
             power = self._cache_power
         else:
-            power = self._fading.peek_power_at(time_us, self._coherence_us())
+            power = self.fading.peek_power_at(time_us, self._coherence_us())
         mean_db = self.mean_snr_db(time_us, downlink, tx_id)
         return mean_db + linear_to_db(power)
 
@@ -334,11 +403,26 @@ class ChannelMap:
         #: per-endpoint index of instantiated links, maintained on link
         #: creation so ``links_for_client`` never scans the full map.
         self._links_by_port: Dict[str, List[Link]] = {}
+        #: Mean rx power between two fixed ports, keyed ``(tx, rx)``.
+        #: Fixed positions never change, so each entry is the float
+        #: ``Link.mean_rx_power_dbm`` returns for the pair at any time.
+        self._fixed_rx_dbm: Dict[Tuple[str, str], float] = {}
+        #: Provable gain bound of every port's antenna.
+        self._bounds: Dict[str, GainBound] = {}
+        #: The distinct bounds among fixed ports (the receivers a reach
+        #: covers).
+        self._fixed_bounds: Set[GainBound] = set()
+        #: ``audible_dx_m`` per transmitter, reset when a fixed port joins.
+        self._reach: Dict[str, float] = {}
 
     def register_port(self, port: RadioPort) -> None:
         if port.node_id in self._ports:
             raise ValueError(f"duplicate radio port id {port.node_id!r}")
         self._ports[port.node_id] = port
+        bound = self._bounds[port.node_id] = gain_bound(port.antenna, port.position)
+        if port.position is not None:
+            self._fixed_bounds.add(bound)
+            self._reach.clear()
 
     def port(self, node_id: str) -> RadioPort:
         return self._ports[node_id]
@@ -371,6 +455,74 @@ class ChannelMap:
             self._links_by_port.setdefault(key[0], []).append(existing)
             self._links_by_port.setdefault(key[1], []).append(existing)
         return existing
+
+    def mean_rx_power_dbm(self, tx_id: str, rx_id: str, time_us: int) -> float:
+        """Mean received power of ``tx_id``'s transmissions at ``rx_id``.
+
+        Pairs of fixed ports are served from a table and never build a
+        :class:`Link`; any other pair asks its link.
+        """
+        key = (tx_id, rx_id)
+        power = self._fixed_rx_dbm.get(key)
+        if power is not None:
+            return power
+        tx = self._ports[tx_id]
+        rx = self._ports[rx_id]
+        if tx.position is None or rx.position is None:
+            return self.link(tx_id, rx_id).mean_rx_power_dbm(time_us, tx_id=tx_id)
+        # The same endpoint order and expression as the pair's Link.
+        ap, client = (tx, rx) if tx_id <= rx_id else (rx, tx)
+        power = (
+            _mean_snr_db(
+                tx.tx_power_dbm,
+                ap,
+                client,
+                ap.position_at(time_us),
+                client.position_at(time_us),
+                self._pathloss,
+            )
+            + NOISE_FLOOR_DBM
+        )
+        self._fixed_rx_dbm[key] = power
+        return power
+
+    def audible_dx_m(self, tx_id: str) -> float:
+        """Distance in x beyond which ``tx_id`` is heard by no fixed port.
+
+        Every fixed port further than this from the transmitter along
+        the road receives it at least :data:`AUDIBLE_SLACK_DB` below
+        :data:`ENERGY_DETECT_DBM` (see :mod:`repro.channel.reach`).
+        """
+        reach = self._reach.get(tx_id)
+        if reach is None:
+            reach = self._reach[tx_id] = audible_dx_m(
+                self._ports[tx_id].tx_power_dbm,
+                self._bounds[tx_id],
+                self._fixed_bounds,
+                self._pathloss,
+                ENERGY_DETECT_DBM - AUDIBLE_SLACK_DB,
+            )
+        return reach
+
+    def may_hear(self, tx_id: str, rx_id: str) -> bool:
+        """Whether the fixed port ``rx_id`` may detect fixed ``tx_id``.
+
+        False means the link budget over the pair's exact geometry puts
+        every frame at least :data:`AUDIBLE_SLACK_DB` below
+        :data:`ENERGY_DETECT_DBM`.
+        """
+        tx_pos = self._ports[tx_id].position
+        rx_pos = self._ports[rx_id].position
+        assert tx_pos is not None and rx_pos is not None, "fixed ports only"
+        bound = rx_power_bound_dbm(
+            self._ports[tx_id].tx_power_dbm,
+            self._bounds[tx_id],
+            self._bounds[rx_id],
+            abs(tx_pos.x - rx_pos.x),
+            tx_pos.distance_to(rx_pos),
+            self._pathloss,
+        )
+        return bound >= ENERGY_DETECT_DBM - AUDIBLE_SLACK_DB
 
     def invalidate_geometry(self) -> None:
         """Drop every position/geometry memo in the scenario.
@@ -406,6 +558,8 @@ class ChannelMap:
         if node_id not in self._ports:
             return
         del self._ports[node_id]
+        del self._bounds[node_id]
+        self._reach.pop(node_id, None)
         gone = self._links_by_port.pop(node_id, [])
         for link in gone:
             peer = (

@@ -100,7 +100,7 @@ class LinkBatch:
             if link._cache_time == t:
                 pending.append((slot, link, tx_dbm, mean_db, link._cache_power))
                 continue
-            ch = link._fading
+            ch = link.fading
             if ch._last_time_us is None:
                 # First sample: the stationary draw is the state.
                 ch._last_time_us = t
@@ -120,7 +120,7 @@ class LinkBatch:
         # One DFT/power/log pipeline per tap count (all 6 in practice).
         by_taps: dict = {}
         for item in pending:
-            ch = item[1]._fading
+            ch = item[1].fading
             by_taps.setdefault(ch.num_taps, []).append(item)
         for num_taps, group in by_taps.items():
             dft = _dft_matrix(num_taps)
@@ -131,7 +131,7 @@ class LinkBatch:
                     (len(fresh), 1, num_taps), dtype=complex
                 )
                 for j, item in enumerate(fresh):
-                    taps_stack[j, 0] = item[1]._fading._taps
+                    taps_stack[j, 0] = item[1].fading._taps
                 power_matrix = subcarrier_power_from_taps(dft, taps_stack)
             fresh_i = 0
             for item in group:
@@ -226,7 +226,7 @@ class LinkBatch:
                         (slot, link, tx_dbm, mean_db, link._cache_power)
                     )
                     continue
-                ch = link._fading
+                ch = link.fading
                 needs_step = (
                     ch._last_time_us is not None and t > ch._last_time_us
                 )
@@ -255,7 +255,7 @@ class LinkBatch:
             results: List[Optional[np.ndarray]] = [None] * len(entries)
             by_taps: dict = {}
             for item in pending:
-                ch = item[1]._fading
+                ch = item[1].fading
                 by_taps.setdefault(ch.num_taps, []).append(item)
             for num_taps, group in by_taps.items():
                 dft = _dft_matrix(num_taps)
@@ -266,7 +266,7 @@ class LinkBatch:
                         (len(fresh), 1, num_taps), dtype=complex
                     )
                     for j, item in enumerate(fresh):
-                        taps_stack[j, 0] = item[1]._fading._taps
+                        taps_stack[j, 0] = item[1].fading._taps
                     power_matrix = subcarrier_power_from_taps(dft, taps_stack)
                 fresh_i = 0
                 for item in group:

@@ -61,6 +61,16 @@ class LogDistancePathLoss:
             + self.excess_loss_db
         )
 
+    def distance_at_loss_m(self, loss_db: float) -> float:
+        """Inverse of :meth:`loss_db`: the distance past which the loss
+        exceeds ``loss_db`` (``inf`` if it never does)."""
+        excess_db = loss_db - self._reference_db - self.excess_loss_db
+        if excess_db <= 0.0:
+            return self.reference_distance_m
+        if self._slope_db <= 0.0 or excess_db / self._slope_db > 300.0:
+            return math.inf
+        return self.reference_distance_m * 10.0 ** (excess_db / self._slope_db)
+
     @property
     def wavelength_m(self) -> float:
         """Carrier wavelength — 12.2 cm at channel 11, as the paper notes."""

@@ -15,12 +15,13 @@ as deployed in the paper (§4: "channel 11 ... without modification").
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.channel.link import ChannelMap, NOISE_FLOOR_DBM
+from repro.channel.link import ChannelMap, ENERGY_DETECT_DBM, NOISE_FLOOR_DBM
 from repro.channel.link_batch import warm_snapshots
 from repro.mac.frames import Frame, SIFS_US
 from repro.phy.batch import prewarm_receivers
@@ -80,8 +81,21 @@ class MacEntity:
         return True
 
 
+#: One indexed radio: (registration sequence number, node id, device).
+#: Sorting entries sorts them into registration order.
+_Entry = Tuple[int, str, MacEntity]
+
+
 class WirelessMedium:
-    """Arbiter for one Wi-Fi channel."""
+    """Arbiter for one Wi-Fi channel.
+
+    Frame completion visits only the radios that could hear the frame:
+    every moving radio, plus the fixed radios (APs) within the sender's
+    audible reach along the road (:meth:`ChannelMap.audible_dx_m`). A
+    fixed radio outside that reach is provably below the energy-detect
+    floor, where the full scan would only have handed it the no-op
+    ``on_air_frame(frame, None, False)``.
+    """
 
     def __init__(
         self,
@@ -95,19 +109,41 @@ class WirelessMedium:
         self._transmissions: List[Transmission] = []
         self.frames_sent = 0
         self.airtime_us = 0
+        #: Receivers examined by frame completions (the sender excluded).
+        self.receivers_visited = 0
         #: Coalesce each frame completion's receiver set into one fused
         #: channel-evolution + PHY-kernel batch (bit-identical to the
-        #: per-receiver scalar path; ``False`` keeps the scalar loop).
+        #: per-link scalar snapshots; ``False`` keeps those).
         self.batch_phy = batch_phy
+        # Receiver index: fixed radios in x order (parallel lists for
+        # bisection); moving ones are candidates for every frame.
+        self._next_seq = 0
+        self._fixed_xs: List[float] = []
+        self._fixed: List[_Entry] = []
+        self._mobile: List[_Entry] = []
+        #: Per fixed sender: the fixed radios it may reach, filtered
+        #: once on the pairs' exact geometry (which never changes).
+        self._heard_by: Dict[str, List[_Entry]] = {}
 
     # ------------------------------------------------------------------
     # registration
     # ------------------------------------------------------------------
 
     def register(self, device: MacEntity) -> None:
-        if device.node_id in self._devices:
-            raise ValueError(f"duplicate device {device.node_id!r}")
-        self._devices[device.node_id] = device
+        node_id = device.node_id
+        if node_id in self._devices:
+            raise ValueError(f"duplicate device {node_id!r}")
+        self._devices[node_id] = device
+        entry = (self._next_seq, node_id, device)
+        self._next_seq += 1
+        position = self._channel.port(node_id).position
+        if position is None:
+            self._mobile.append(entry)
+            return
+        i = bisect_right(self._fixed_xs, position.x)
+        self._fixed_xs.insert(i, position.x)
+        self._fixed.insert(i, entry)
+        self._heard_by.clear()
 
     def unregister(self, node_id: str) -> None:
         """Remove a retired device from the medium.
@@ -115,10 +151,17 @@ class WirelessMedium:
         Churn support: a departed vehicle must stop being a candidate
         receiver (and stop pinning its MacEntity).  Callers must defer
         this past the interference-history horizon — ``busy_until`` and
-        ``_interference_mw`` replay recent ``_transmissions`` through
-        the channel map, which fails once the port is forgotten.
+        frame completion replay recent ``_transmissions`` through the
+        channel map, which fails once the port is forgotten.
         """
-        self._devices.pop(node_id, None)
+        if self._devices.pop(node_id, None) is None:
+            return
+        self._mobile = [e for e in self._mobile if e[1] != node_id]
+        for i, entry in enumerate(self._fixed):
+            if entry[1] == node_id:
+                del self._fixed[i], self._fixed_xs[i]
+                self._heard_by.clear()
+                break
 
     def devices(self):
         return self._devices.values()
@@ -126,10 +169,6 @@ class WirelessMedium:
     # ------------------------------------------------------------------
     # carrier sense
     # ------------------------------------------------------------------
-
-    def _rx_power_dbm(self, tx_id: str, rx_id: str, time_us: int) -> float:
-        link = self._channel.link(tx_id, rx_id)
-        return link.mean_rx_power_dbm(time_us, tx_id=tx_id)
 
     def busy_until(self, node_id: str, now: Optional[int] = None) -> int:
         """Latest end time of any transmission this node can sense.
@@ -151,7 +190,10 @@ class WirelessMedium:
                 continue
             if tx.start_us > now - SENSE_DELAY_US:
                 continue
-            if self._rx_power_dbm(tx.sender, node_id, tx.start_us) >= CS_THRESHOLD_DBM:
+            power_dbm = self._channel.mean_rx_power_dbm(
+                tx.sender, node_id, tx.start_us
+            )
+            if power_dbm >= CS_THRESHOLD_DBM:
                 latest = max(latest, tx.end_us)
         return latest
 
@@ -221,27 +263,27 @@ class WirelessMedium:
     # reception
     # ------------------------------------------------------------------
 
-    def _interference_mw(self, tx: Transmission, rx_id: str) -> float:
-        """Overlap-weighted co-channel interference power at ``rx_id``."""
-        total_mw = 0.0
-        duration = max(tx.end_us - tx.start_us, 1)
-        for other in self._transmissions:
-            if other is tx or other.sender == rx_id:
-                continue
-            if other.channel != tx.channel:
-                continue
-            overlap = other.overlaps(tx.start_us, tx.end_us)
-            if overlap == 0:
-                continue
-            power_dbm = self._rx_power_dbm(other.sender, rx_id, other.start_us)
-            total_mw += (overlap / duration) * 10.0 ** (power_dbm / 10.0)
-        return total_mw
-
-    def _was_transmitting(self, node_id: str, tx: Transmission) -> bool:
-        for other in self._transmissions:
-            if other.sender == node_id and other.overlaps(tx.start_us, tx.end_us):
-                return True
-        return False
+    def _candidates(self, tx: Transmission) -> List[_Entry]:
+        """The radios that might hear ``tx``, in registration order."""
+        sender = tx.sender
+        heard = self._heard_by.get(sender)
+        if heard is None:
+            channel = self._channel
+            port = channel.port(sender)
+            reach = channel.audible_dx_m(sender)
+            x = port.position_at(tx.start_us).x
+            xs = self._fixed_xs
+            heard = self._fixed[
+                bisect_left(xs, x - reach):bisect_right(xs, x + reach)
+            ]
+            if port.position is not None:
+                heard = sorted(
+                    entry
+                    for entry in heard
+                    if entry[1] != sender and channel.may_hear(sender, entry[1])
+                )
+                self._heard_by[sender] = heard
+        return sorted(heard + self._mobile)
 
     def _complete(self, tx: Transmission) -> None:
         noise_mw = 10.0 ** (NOISE_FLOOR_DBM / 10.0)
@@ -250,8 +292,9 @@ class WirelessMedium:
         # rather than inside the per-receiver interference loop — with
         # a dozen radios and a 20 ms history that scan used to dominate
         # frame completion.  ``interferers`` keeps the transmission-list
-        # order, so the per-receiver float sums below are bit-identical
-        # to the old per-receiver scan.
+        # order, so the per-receiver float sums below always add the
+        # same terms in the same order.
+        sender = tx.sender
         tx_start, tx_end = tx.start_us, tx.end_us
         duration = max(tx_end - tx_start, 1)
         interferers = []  # (sender, start_us, overlap_fraction)
@@ -268,23 +311,19 @@ class WirelessMedium:
             interferers.append(
                 (other.sender, other.start_us, overlap / duration)
             )
-        if not self.batch_phy:
-            self._deliver_scalar(tx, noise_mw, interferers, active_senders)
-            return
 
         # ---- plan pass: apply the cheap per-receiver filters first, so
         # the receivers that need a full SINR snapshot are known before
-        # any channel math runs.  They form this completion's
-        # contention-domain batch: one fused multi-link fading step and
-        # one stacked PHY prewarm instead of per-receiver scalar calls.
-        # Every per-link computation is independent (private RNG
-        # streams, per-link caches) and ``on_air_frame`` dispatch keeps
-        # the original device order below, so the restructuring is
-        # bit-identical to the scalar loop.
+        # any channel math runs.  Every per-link computation is
+        # independent (private RNG streams, per-link caches) and
+        # ``on_air_frame`` dispatch keeps registration order below.
+        rx_power_dbm = self._channel.mean_rx_power_dbm
         receivers: List[tuple] = []  # (node_id, device, link_or_None)
-        for node_id, device in self._devices.items():
-            if node_id == tx.sender:
+        visited = 0
+        for _seq, node_id, device in self._candidates(tx):
+            if node_id == sender:
                 continue
+            visited += 1
             if getattr(device, "channel", 11) != tx.channel:
                 continue  # tuned elsewhere: hears nothing
             if not device.cares_about(tx.frame):
@@ -293,97 +332,48 @@ class WirelessMedium:
                 # Half-duplex: it was transmitting itself.
                 receivers.append((node_id, device, None))
                 continue
-            link = self._channel.link(tx.sender, node_id)
-            if link.mean_rx_power_dbm(tx_start, tx_id=tx.sender) < NOISE_FLOOR_DBM - 10:
+            if rx_power_dbm(sender, node_id, tx_start) < ENERGY_DETECT_DBM:
                 # Far below the noise floor: not even energy-detectable.
                 receivers.append((node_id, device, None))
                 continue
-            receivers.append((node_id, device, link))
+            receivers.append(
+                (node_id, device, self._channel.link(sender, node_id))
+            )
+        self.receivers_visited += visited
 
         live = [
             (i, entry[2])
             for i, entry in enumerate(receivers)
             if entry[2] is not None
         ]
+        if self.batch_phy:
+            # This completion's contention domain as one batch: a fused
+            # multi-link fading step (bit-identical to per-link steps).
+            snaps = warm_snapshots(tx_start, [(link, sender) for _i, link in live])
+        else:
+            snaps = [
+                link.subcarrier_snr_db(tx_start, tx_id=sender) for _i, link in live
+            ]
         rows: List[Optional[np.ndarray]] = [None] * len(receivers)
-        snaps = warm_snapshots(
-            tx_start, [(link, tx.sender) for _i, link in live]
-        )
         for (i, _link), snr_db in zip(live, snaps):
             node_id = receivers[i][0]
             interference_mw = 0.0
-            for sender, start_us, weight in interferers:
-                if sender == node_id:
+            for other, start_us, weight in interferers:
+                if other == node_id:
                     continue
-                power_dbm = self._rx_power_dbm(sender, node_id, start_us)
+                power_dbm = rx_power_dbm(other, node_id, start_us)
                 interference_mw += weight * 10.0 ** (power_dbm / 10.0)
             if interference_mw > 0.0:
                 penalty_db = 10.0 * math.log10(1.0 + interference_mw / noise_mw)
                 snr_db = snr_db - penalty_db
             rows[i] = snr_db
-        if len(live) >= 2:
-            self._prewarm_phy(live, rows)
-        for i, (node_id, device, link) in enumerate(receivers):
-            if link is None:
-                device.on_air_frame(tx.frame, None, False)
-            else:
-                device.on_air_frame(tx.frame, rows[i], True)
-
-    def _prewarm_phy(
-        self,
-        live: List[tuple],
-        rows: List[Optional[np.ndarray]],
-    ) -> None:
-        """Seed the preamble memo for every live receiver at once.
-
-        The rows handed over are the exact array objects the dispatch
-        loop passes to ``on_air_frame``, so each receiver's preamble
-        check collapses to a memo hit on a value bit-identical to the
-        scalar computation.
-
-        Only the preamble term is prewarmed.  It is the one PHY
-        quantity *every* receiver in the contention domain evaluates
-        unconditionally, so one stacked kernel call amortizes across
-        the whole domain.  Data / CSI follow-ups are gated on a
-        per-device preamble draw — seeding their ESNR / coded-BER /
-        RSSI eagerly costs about as much per row as the lazy memoized
-        scalar path and is wasted whenever the draw fails, which
-        measured as a net end-to-end loss (see docs/performance.md).
-        """
-        prewarm_receivers([rows[i] for i, _link in live])
-
-    def _deliver_scalar(
-        self,
-        tx: Transmission,
-        noise_mw: float,
-        interferers: List[tuple],
-        active_senders: set,
-    ) -> None:
-        """The original per-receiver loop (``batch_phy=False``)."""
-        for node_id, device in self._devices.items():
-            if node_id == tx.sender:
-                continue
-            if getattr(device, "channel", 11) != tx.channel:
-                continue  # tuned elsewhere: hears nothing
-            if not device.cares_about(tx.frame):
-                continue
-            if node_id in active_senders:
-                # Half-duplex: it was transmitting itself.
-                device.on_air_frame(tx.frame, None, False)
-                continue
-            link = self._channel.link(tx.sender, node_id)
-            if link.mean_rx_power_dbm(tx.start_us, tx_id=tx.sender) < NOISE_FLOOR_DBM - 10:
-                # Far below the noise floor: not even energy-detectable.
-                device.on_air_frame(tx.frame, None, False)
-                continue
-            snr_db = link.subcarrier_snr_db(tx.start_us, tx_id=tx.sender)
-            interference_mw = 0.0
-            for sender, start_us, weight in interferers:
-                if sender == node_id:
-                    continue
-                power_dbm = self._rx_power_dbm(sender, node_id, start_us)
-                interference_mw += weight * 10.0 ** (power_dbm / 10.0)
-            if interference_mw > 0.0:
-                penalty_db = 10.0 * math.log10(1.0 + interference_mw / noise_mw)
-                snr_db = snr_db - penalty_db
-            device.on_air_frame(tx.frame, snr_db, True)
+        if self.batch_phy and len(live) >= 2:
+            # Seed the preamble memo for every live receiver at once,
+            # with the exact row objects dispatched below, so each
+            # receiver's preamble check is a memo hit.  Only the
+            # preamble term: every receiver evaluates it, while data /
+            # CSI follow-ups hang on a per-device draw and seeding them
+            # eagerly measured as a net loss (docs/performance.md).
+            prewarm_receivers([rows[i] for i, _link in live])
+        for i, (_node_id, device, link) in enumerate(receivers):
+            device.on_air_frame(tx.frame, rows[i], link is not None)

@@ -132,7 +132,8 @@ def preamble_success_batch(
     memo seeds).
     """
     matrix = _as_matrix(subcarrier_snr_db)
-    linear = np.power(10.0, matrix * 0.1)
+    with np.errstate(over="ignore"):  # huge finite SNRs saturate to inf
+        linear = np.power(10.0, matrix * 0.1)
     wideband = np.add.reduce(linear, axis=-1) / matrix.shape[-1]
     esnr = effective_snr_db_batch(matrix, "bpsk", capped=False)
     gain_db = CODING_GAIN_DB[1 / 2]
@@ -170,7 +171,8 @@ def mpdu_payload_success_batch(
 def rssi_offset_batch(subcarrier_snr_db) -> np.ndarray:
     """Row-wise :func:`repro.phy.per.wideband_rssi_offset_db`."""
     matrix = _as_matrix(subcarrier_snr_db)
-    powers = 10.0 ** (matrix / 10.0)
+    with np.errstate(over="ignore"):  # huge finite SNRs saturate to inf
+        powers = 10.0 ** (matrix / 10.0)
     linear = np.add.reduce(powers, axis=-1) / matrix.shape[-1]
     out = np.empty(len(linear))
     for i in range(len(linear)):

@@ -190,7 +190,8 @@ def wideband_rssi_offset_db(subcarrier_snr_db: np.ndarray) -> float:
     entry = _rssi_memo.get(id(subcarrier_snr_db))
     if entry is not None:
         return entry[1]
-    powers = 10.0 ** (np.asarray(subcarrier_snr_db) / 10.0)
+    with np.errstate(over="ignore"):  # huge finite SNRs saturate to inf
+        powers = 10.0 ** (np.asarray(subcarrier_snr_db) / 10.0)
     linear = float(np.add.reduce(powers)) / powers.shape[0]
     value = 10.0 * math.log10(max(linear, 1e-12))
     if isinstance(subcarrier_snr_db, np.ndarray):
@@ -254,7 +255,8 @@ def preamble_success_probability(subcarrier_snr_db: np.ndarray) -> float:
     if entry is not None:
         return entry[1]
     arr = np.asarray(subcarrier_snr_db, dtype=float)
-    linear = np.power(10.0, arr * 0.1)
+    with np.errstate(over="ignore"):  # huge finite SNRs saturate to inf
+        linear = np.power(10.0, arr * 0.1)
     # add.reduce/n is what np.mean computes, minus the dispatch layer.
     wideband_linear = float(np.add.reduce(linear)) / linear.shape[0]
     wideband_db = 10.0 * math.log10(max(wideband_linear, 1e-12))

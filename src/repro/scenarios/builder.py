@@ -226,11 +226,8 @@ class ScenarioBuilder:
                     beamwidth_deg=config.ap_beamwidth_deg,
                 )
                 tb.channel.register_port(
-                    RadioPort(
-                        ap_id,
-                        antenna,
-                        config.ap_tx_power_dbm,
-                        lambda t, m=mount: m,
+                    RadioPort.fixed(
+                        ap_id, antenna, config.ap_tx_power_dbm, mount
                     )
                 )
                 tb.ap_ids.append(ap_id)

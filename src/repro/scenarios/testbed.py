@@ -119,8 +119,8 @@ class TestbedConfig:
     obs: Optional[ObsConfig] = None
     #: Batched snapshot/PHY fast path on the shared medium and the
     #: oracle probes.  Bit-identical to the scalar path (asserted by
-    #: ``tests/test_perf_equivalence.py``); ``False`` forces the
-    #: per-receiver scalar loop everywhere.
+    #: ``tests/test_perf_equivalence.py``); ``False`` forces per-link
+    #: scalar snapshots, with no fused evolution or prewarm, everywhere.
     batch_phy: bool = True
     #: Partition the corridor into AP-cluster shards, each owned by its
     #: own controller, with inter-shard client handoff (``repro.shard``).
