@@ -11,7 +11,8 @@ diff rather than a vibe:
 * ``esnr``      — effective-SNR evaluations/s under the MAC's real
                   per-frame call pattern (several evaluations of each
                   snapshot — what the identity memos exist for), LUT
-                  fast path vs the seed's per-evaluation scipy chain;
+                  fast path vs the seed's per-evaluation scipy chain
+                  (the closed form in ``tests/phy_oracle.py``);
                   cold single-evaluation timings recorded alongside.
 * ``selector``  — AP-selection queries/s, incremental sliding window
                   vs the naive re-``sorted()`` reference.
@@ -130,8 +131,16 @@ def bench_esnr() -> dict:
     seed's per-evaluation scipy chain.  Cold (single-evaluation, no
     memo benefit) timings for both are recorded alongside.
     """
-    from repro.phy.esnr import effective_snr_db, effective_snr_db_exact
+    from repro.phy.esnr import effective_snr_db
     from repro.phy.per import _effective_snr_db_memo
+
+    # The closed-form oracle lives with the tests (scipy is a test extra).
+    here = os.path.dirname(os.path.abspath(__file__))
+    sys.path.insert(0, os.path.dirname(os.path.dirname(here)))
+    try:
+        from tests.phy_oracle import effective_snr_db_exact
+    finally:
+        sys.path.pop(0)
 
     rng = np.random.default_rng(3)
     channels = [rng.uniform(0.0, 40.0, 56) for _ in range(2_000)]

@@ -9,7 +9,7 @@ reports
 
 * **failover latency** — crash instant → client re-served by a live AP
   (heartbeat detection lag + emergency handshake), from the
-  :class:`~repro.metrics.recorder.FailoverAudit` join;
+  :class:`~repro.obs.recorders.FailoverAudit` join;
 * **throughput retained** — chaos-run TCP throughput over the
   fault-free twin run of the same seed;
 * **deadline violations** — recoveries slower than
@@ -31,7 +31,7 @@ from typing import Dict, List, Optional
 from repro.experiments.common import mean, seeds_for
 from repro.experiments.runner import run_grid
 from repro.faults.plan import ApCrash, FaultPlan
-from repro.metrics.recorder import FailoverAudit
+from repro.obs.recorders import FailoverAudit
 from repro.scenarios.testbed import TestbedConfig, build_testbed
 from repro.sim.engine import SECOND
 from repro.sim.rng import RngRegistry

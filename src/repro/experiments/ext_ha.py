@@ -8,7 +8,7 @@ in the sweep, and each cell reports
 
 * **recovery latency** — kill instant → every client registered at the
   promoted standby with a live serving AP (detection lag + promotion +
-  re-publication), from :class:`~repro.metrics.recorder.HaAudit`;
+  re-publication), from :class:`~repro.obs.recorders.HaAudit`;
 * **duplicate leakage** — uplink copies the server saw twice across the
   failover (the shipped dedup window should keep this near zero), plus
   the post-restore duplicates the window *caught*;
@@ -34,7 +34,7 @@ from repro.core.config import WgttConfig
 from repro.experiments.common import mean, seeds_for
 from repro.experiments.runner import run_grid
 from repro.faults.plan import ControllerCrash, FaultPlan
-from repro.metrics.recorder import FailoverAudit, HaAudit
+from repro.obs.recorders import FailoverAudit, HaAudit
 from repro.scenarios.testbed import TestbedConfig, build_testbed
 from repro.sim.engine import MS, SECOND
 from repro.experiments.registry import register_experiment

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.metrics.recorder import RateUsageLog
+from repro.obs.recorders import RateUsageLog
 from repro.metrics.stats import cdf_points, percentile
 from repro.scenarios.testbed import TestbedConfig, build_testbed
 from repro.experiments.registry import register_experiment

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.metrics.recorder import UplinkLossMeter
+from repro.obs.recorders import UplinkLossMeter
 from repro.scenarios.presets import multi_client_config
 from repro.scenarios.testbed import build_testbed
 from repro.sim.engine import SECOND, Timer

@@ -16,7 +16,7 @@ each 1-D row, and the cheap per-row finishing below runs the *same*
 scalar helpers the scalar path runs (``math.log10`` wideband check,
 scalar BER lookup, ``(1-ber)**n``).  ``tests/test_phy_batch.py`` sweeps
 random link counts, modulations and NaN/±inf inputs to hold both paths
-together, and to the scipy ``*_exact`` oracles.
+together, and to the closed-form oracles in ``tests/phy_oracle.py``.
 
 The ``prewarm_*`` entry points seed the bounded identity memos of
 :mod:`repro.phy.per`, so the per-frame scalar calls the MAC makes

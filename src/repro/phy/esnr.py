@@ -14,27 +14,17 @@ The result is "the SNR of the flat channel that would perform the same"
 reference modulation: it keeps the metric sensitive across the whole
 0–30 dB operating range of the picocell testbed.
 
-Hot path: the public entry points are served by the precomputed
-log-domain lookup tables in :mod:`repro.phy.lut` (dense SNR-dB grid +
-linear interpolation), so the per-frame path never calls
-``scipy.special``.  The closed-form scipy implementations survive as
-``*_exact`` — they are the reference the equivalence property tests
-(``tests/test_perf_equivalence.py``) hold the tables to, within
-0.05 dB across the 0–45 dB operating range.
+Every entry point is served by the shipped lookup tables in
+:mod:`repro.phy.lut` (dense SNR-dB grid + linear interpolation).  The
+closed forms they were sampled from live with the tests
+(``tests/phy_oracle.py``); ``tests/test_perf_equivalence.py`` holds the
+tables to them within 0.05 dB across the 0–45 dB operating range.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.phy.ber import (
-    BER_BY_MODULATION,
-    BER_CEILING,
-    BER_FLOOR,
-    SNR_FOR_BER_BY_MODULATION,
-    db_to_linear,
-    linear_to_db,
-)
 from repro.phy.lut import lut_for, mean_ber_lut
 
 #: Reference modulation for the scalar ESNR summary metric.
@@ -85,41 +75,3 @@ def mean_ber(
     (LUT fast path.)
     """
     return mean_ber_lut(subcarrier_snr_db, modulation, coding_gain_db)
-
-
-# ----------------------------------------------------------------------
-# closed-form (scipy) reference implementations
-# ----------------------------------------------------------------------
-
-
-def effective_snr_linear_exact(
-    subcarrier_snr_db: np.ndarray, modulation: str = DEFAULT_MODULATION
-) -> float:
-    """Closed-form effective SNR as a linear power ratio (scipy path)."""
-    ber = BER_BY_MODULATION[modulation]
-    inverse = SNR_FOR_BER_BY_MODULATION[modulation]
-    snr_linear = db_to_linear(np.asarray(subcarrier_snr_db, dtype=float))
-    mean = float(np.mean(ber(snr_linear)))
-    mean = min(max(mean, BER_FLOOR), BER_CEILING)
-    return float(inverse(mean))
-
-
-def effective_snr_db_exact(
-    subcarrier_snr_db: np.ndarray, modulation: str = DEFAULT_MODULATION
-) -> float:
-    """Closed-form effective SNR in dB, capped at :data:`ESNR_CAP_DB`."""
-    esnr_db = float(
-        linear_to_db(effective_snr_linear_exact(subcarrier_snr_db, modulation))
-    )
-    return min(esnr_db, ESNR_CAP_DB)
-
-
-def mean_ber_exact(
-    subcarrier_snr_db: np.ndarray, modulation: str, coding_gain_db: float = 0.0
-) -> float:
-    """Closed-form mean coded BER across subcarriers (scipy path)."""
-    ber = BER_BY_MODULATION[modulation]
-    snr_linear = db_to_linear(
-        np.asarray(subcarrier_snr_db, dtype=float) + coding_gain_db
-    )
-    return float(np.mean(ber(snr_linear)))

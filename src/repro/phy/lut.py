@@ -1,13 +1,11 @@
 """Lookup tables for the 802.11 BER curves and their inverses.
 
-The closed-form BER expressions in :mod:`repro.phy.ber` go through
-``scipy.special.erfc`` / ``erfcinv``.  That is numerically exact but it
-is also the single hottest function chain in the whole simulator: every
-decodable frame at every receiver evaluates ``effective_snr_linear``
+Every decodable frame at every receiver evaluates an effective SNR
 (56 subcarriers -> mean BER -> inverse) at least once, and every MPDU
-in an A-MPDU evaluates a coded-BER point on top of that.
-
-This module precomputes, once per process and per modulation:
+in an A-MPDU evaluates a coded-BER point on top of that.  Both
+non-linear maps are served from two tables per modulation, shipped as
+package data in ``ber_tables.npz`` and loaded once per process on
+first use:
 
 * a dense SNR-dB grid (``SNR_GRID_MIN_DB`` .. ``SNR_GRID_MAX_DB`` in
   ``SNR_GRID_STEP_DB`` steps) carrying the *linear* uncoded BER.  The
@@ -16,8 +14,14 @@ This module precomputes, once per process and per modulation:
   nothing measurable to a mean — exactly like the closed form, where
   the :data:`~repro.phy.ber.BER_FLOOR` clip is applied to the *mean*,
   not per subcarrier.
-* a dense log10(BER) grid carrying the *exact* closed-form inverse
-  (``snr_for_ber_*``) in dB, including its clipping semantics.
+* a dense log10(BER) grid carrying the closed-form inverse in dB,
+  including its clipping semantics.
+
+The tables are the closed-form AWGN curves of Halperin et al. sampled
+with ``scipy.special.erfc`` / ``erfcinv``.  The closed forms live in
+``tests/phy_oracle.py`` (scipy is a test-only dependency), which also
+regenerates the file; ``tests/test_phy_tables.py`` holds the shipped
+bytes to that build.
 
 Both grids are *uniform*, so a lookup never needs ``np.interp``'s
 per-element binary search: the bucket index is one multiply away
@@ -49,17 +53,16 @@ scalar and batched inversions agree exactly.
 from __future__ import annotations
 
 import math
+from pathlib import Path
 from typing import Dict
 
 import numpy as np
 
-from repro.phy.ber import (
-    BER_BY_MODULATION,
-    BER_CEILING,
-    BER_FLOOR,
-    SNR_FOR_BER_BY_MODULATION,
-    linear_to_db,
-)
+from repro.phy.ber import BER_CEILING, BER_FLOOR
+
+#: The shipped tables: ``<modulation>_ber`` and ``<modulation>_inv_snr_db``
+#: for bpsk, qpsk, 16qam and 64qam.
+TABLE_PATH = Path(__file__).with_name("ber_tables.npz")
 
 #: Forward-table SNR grid (dB).  Inputs outside the grid clamp to the
 #: endpoints, which is exact: below the grid every curve has reached its
@@ -109,7 +112,7 @@ interp = _interp  # re-exported for the other repro.phy fast paths
 
 class ModulationLut:
     """Forward (SNR dB -> BER) and inverse (mean BER -> SNR dB) tables
-    for one modulation, both sampled from the closed-form curves."""
+    for one modulation, loaded from :data:`TABLE_PATH`."""
 
     __slots__ = (
         "modulation",
@@ -122,16 +125,13 @@ class ModulationLut:
 
     def __init__(self, modulation: str):
         self.modulation = modulation
-        forward = BER_BY_MODULATION[modulation]
-        inverse = SNR_FOR_BER_BY_MODULATION[modulation]
-
-        snr_linear = np.power(10.0, _SNR_GRID_DB / 10.0)
-        with np.errstate(under="ignore"):
-            ber = np.asarray(forward(snr_linear), dtype=float)
-        # NB: tables stay writeable — numpy's C fast paths copy
-        # read-only buffers on every call, which would cost more than
-        # the interpolation itself.  Treat them as frozen.
-        self.ber = np.maximum(ber, SAMPLE_BER_FLOOR)
+        # NB: tables stay writeable (np.load copies them out of the
+        # archive) — numpy's C fast paths copy read-only buffers on
+        # every call, which would cost more than the interpolation
+        # itself.  Treat them as frozen.
+        with np.load(TABLE_PATH) as tables:
+            self.ber = tables[f"{modulation}_ber"]
+            self.inv_snr_db = tables[f"{modulation}_inv_snr_db"]
         # The batched gather relies on the top two forward entries being
         # equal (both at the sample floor): a clipped above-grid lookup
         # lands on the last bucket with frac == 1 and a zero slope, so
@@ -145,10 +145,6 @@ class ModulationLut:
         #: can produce; inversion clamps here, mirroring the closed form
         #: (whose input can never exceed it either).
         self.max_ber = float(self.ber[0])
-
-        with np.errstate(under="ignore", divide="ignore"):
-            snr_for = inverse(np.power(10.0, _LOG_BER_GRID))
-        self.inv_snr_db = np.asarray(linear_to_db(snr_for), dtype=float)
         self.inv_slope = self.inv_snr_db[1:] - self.inv_snr_db[:-1]
 
     # ------------------------------------------------------------------
@@ -258,7 +254,7 @@ _LUTS: Dict[str, ModulationLut] = {}
 
 
 def lut_for(modulation: str) -> ModulationLut:
-    """The (lazily built, process-wide) table pair for ``modulation``."""
+    """The (lazily loaded, process-wide) table pair for ``modulation``."""
     lut = _LUTS.get(modulation)
     if lut is None:
         lut = ModulationLut(modulation)

@@ -5,7 +5,7 @@ liveness-driven emergency failover, and determinism of it all."""
 import pytest
 
 from repro.faults import ApCrash, CsiBlackout, FaultPlan, LinkJitter, Partition
-from repro.metrics.recorder import FailoverAudit
+from repro.obs.recorders import FailoverAudit
 from repro.scenarios.testbed import TestbedConfig, build_testbed
 from repro.sim.engine import SECOND
 from repro.sim.rng import RngRegistry

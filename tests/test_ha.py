@@ -17,7 +17,7 @@ from repro.ha import (
     checkpoint_controller,
     restore_controller,
 )
-from repro.metrics.recorder import FailoverAudit, HaAudit
+from repro.obs.recorders import FailoverAudit, HaAudit
 from repro.net.backhaul import EthernetBackhaul
 from repro.net.packet import Packet
 from repro.scenarios.testbed import TestbedConfig, build_testbed

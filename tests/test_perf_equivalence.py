@@ -4,8 +4,9 @@ Every performance optimisation in this PR ships with the reference
 implementation it replaced, and this module holds the two to each
 other:
 
-* the LUT-based effective SNR must track the closed-form scipy version
-  within 0.05 dB everywhere in the 0–45 dB operating range;
+* the LUT-based effective SNR must track the closed-form scipy oracle
+  (``tests/phy_oracle.py``) within 0.05 dB everywhere in the 0–45 dB
+  operating range;
 * the incrementally maintained selection window must produce *exactly*
   the ``sorted(window)[n // 2]`` median of the naive implementation,
   element for element, over randomized insert/expire sequences;
@@ -28,14 +29,13 @@ import pytest
 
 from repro.core.selection import ApSelector
 from repro.experiments.runner import run_grid
-from repro.phy.ber import BER_BY_MODULATION
-from repro.phy.esnr import (
-    effective_snr_db,
+from repro.phy.esnr import effective_snr_db, mean_ber
+from repro.sim.engine import Simulator
+from tests.phy_oracle import (
+    BER_BY_MODULATION,
     effective_snr_db_exact,
-    mean_ber,
     mean_ber_exact,
 )
-from repro.sim.engine import Simulator
 
 #: The equivalence bound the LUT is held to (dB), everywhere in range.
 LUT_TOLERANCE_DB = 0.05

@@ -3,20 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.phy.ber import (
-    ber_16qam,
-    ber_64qam,
-    ber_bpsk,
-    ber_qpsk,
-    db_to_linear,
-    linear_to_db,
-    q_function,
-    q_inverse,
-    snr_for_ber_16qam,
-    snr_for_ber_64qam,
-    snr_for_ber_bpsk,
-    snr_for_ber_qpsk,
-)
+from repro.phy.ber import db_to_linear, linear_to_db
 from repro.phy.esnr import ESNR_CAP_DB, effective_snr_db
 from repro.phy.mcs import (
     BASIC_RATE,
@@ -30,6 +17,18 @@ from repro.phy.per import (
     expected_throughput_bps,
     mpdu_success_probability,
     preamble_success_probability,
+)
+from tests.phy_oracle import (
+    ber_16qam,
+    ber_64qam,
+    ber_bpsk,
+    ber_qpsk,
+    q_function,
+    q_inverse,
+    snr_for_ber_16qam,
+    snr_for_ber_64qam,
+    snr_for_ber_bpsk,
+    snr_for_ber_qpsk,
 )
 
 

@@ -11,7 +11,8 @@ non-finite values, holding:
 * the vectorized LUT gathers to their scalar counterparts,
 * the stacked ESNR / coded-BER / preamble / payload / RSSI kernels to
   the per-row scalar functions in :mod:`repro.phy.per`,
-* both to the closed-form scipy ``*_exact`` oracles (0.05 dB bound),
+* both to the closed-form scipy oracles in ``tests/phy_oracle.py``
+  (0.05 dB bound),
 * the prewarm seeding to fresh scalar recomputation,
 * the fused multi-link fading evolution to sequential per-link
   evolution (same RNG stream, same bits), and
@@ -28,7 +29,6 @@ import pytest
 from repro.channel import ChannelMap, OmniAntenna, ParabolicAntenna, RadioPort
 from repro.channel.link_batch import probe_snapshots, warm_snapshots
 from repro.mobility import Position, Road, VehicleTrack
-from repro.phy.ber import BER_BY_MODULATION
 from repro.phy.batch import (
     coded_ber_batch,
     effective_snr_db_batch,
@@ -39,11 +39,7 @@ from repro.phy.batch import (
     prewarm_receivers,
     rssi_offset_batch,
 )
-from repro.phy.esnr import (
-    effective_snr_db,
-    effective_snr_db_exact,
-    mean_ber_exact,
-)
+from repro.phy.esnr import effective_snr_db
 from repro.phy.lut import (
     SNR_GRID_MAX_DB,
     SNR_GRID_MIN_DB,
@@ -61,6 +57,11 @@ from repro.phy.per import (
     wideband_rssi_offset_db,
 )
 from repro.sim import RngRegistry, Simulator
+from tests.phy_oracle import (
+    BER_BY_MODULATION,
+    effective_snr_db_exact,
+    mean_ber_exact,
+)
 
 MODULATIONS = sorted(BER_BY_MODULATION)
 LINK_COUNTS = [1, 2, 3, 5, 8, 17, 64, 256]

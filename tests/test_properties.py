@@ -12,12 +12,10 @@ from repro.core.selection import ApSelector
 from repro.mac.blockack import BlockAckScoreboard, ReorderBuffer
 from repro.mac.frames import SEQ_MODULO, seq_distance
 from repro.net.packet import Packet
-from repro.phy.ber import (
-    BER_BY_MODULATION,
-    db_to_linear,
-)
+from repro.phy.ber import db_to_linear
 from repro.phy.esnr import effective_snr_db
 from repro.sim import Simulator
+from tests.phy_oracle import BER_BY_MODULATION
 
 seqs = st.integers(min_value=0, max_value=SEQ_MODULO - 1)
 

@@ -1,6 +1,6 @@
 """Tests for the run-time recorders (rate log, uplink loss meter)."""
 
-from repro.metrics.recorder import RateUsageLog, UplinkLossMeter
+from repro.obs.recorders import RateUsageLog, UplinkLossMeter
 from repro.scenarios.testbed import TestbedConfig, build_testbed
 from repro.sim import Simulator
 
